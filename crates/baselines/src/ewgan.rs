@@ -11,7 +11,7 @@
 use crate::tabular::{GanLoss, TabularGan, TabularGanConfig};
 use crate::FlowSynthesizer;
 use doppelganger::{FeatureSpec, Segment};
-use fieldcodec::{ContinuousCodec, Ip2Vec, Ip2VecConfig, Word};
+use fieldcodec::{Candidates, ContinuousCodec, Ip2Vec, Ip2VecConfig, Word};
 use nettrace::{AttackType, FiveTuple, FlowRecord, FlowTrace, Protocol, TrafficLabel};
 use nnet::Tensor;
 
@@ -62,7 +62,11 @@ impl EmbedNorm {
 
 /// The E-WGAN-GP flow synthesizer.
 pub struct EWganGp {
-    ip2vec: Ip2Vec,
+    /// The dictionary's IP, port and protocol words, split at fit time so
+    /// each decoded field scans only its own kind.
+    ips: Candidates,
+    ports: Candidates,
+    protos: Candidates,
     dim: usize,
     ip_norm: EmbedNorm,
     port_norm: EmbedNorm,
@@ -154,7 +158,9 @@ impl EWganGp {
         gan.fit(&rows, &Tensor::zeros(rows.rows(), 0));
 
         EWganGp {
-            ip2vec,
+            ips: ip2vec.candidates(|w| matches!(w, Word::Ip(_))),
+            ports: ip2vec.candidates(Word::is_port),
+            protos: ip2vec.candidates(Word::is_proto),
             dim,
             ip_norm,
             port_norm,
@@ -170,28 +176,26 @@ impl EWganGp {
 
     fn decode_row(&self, row: &[f32]) -> FlowRecord {
         let d = self.dim;
-        let nearest_ip = |slice: &[f32], norm: &EmbedNorm| -> u32 {
-            match self.ip2vec.nearest(&norm.decode(slice), |w| matches!(w, Word::Ip(_))) {
-                Some(Word::Ip(ip)) => ip,
-                _ => 0,
-            }
+        let nearest = |slice: &[f32], norm: &EmbedNorm, words: &Candidates| {
+            words.nearest(&norm.decode(slice))
         };
-        let src_ip = nearest_ip(&row[0..d], &self.ip_norm);
-        let dst_ip = nearest_ip(&row[d..2 * d], &self.ip_norm);
-        let proto_num = self
-            .ip2vec
-            .nearest_proto(&self.proto_norm.decode(&row[4 * d..5 * d]))
-            .unwrap_or(6);
+        let ip = |slice: &[f32]| match nearest(slice, &self.ip_norm, &self.ips) {
+            Some(Word::Ip(ip)) => ip,
+            _ => 0,
+        };
+        let port = |slice: &[f32]| match nearest(slice, &self.port_norm, &self.ports) {
+            Some(Word::Port(p)) => p,
+            _ => 0,
+        };
+        let src_ip = ip(&row[0..d]);
+        let dst_ip = ip(&row[d..2 * d]);
+        let proto_num = match nearest(&row[4 * d..5 * d], &self.proto_norm, &self.protos) {
+            Some(Word::Proto(p)) => p,
+            _ => 6,
+        };
         let proto = Protocol::from_number(proto_num);
         let (src_port, dst_port) = if proto.has_ports() {
-            (
-                self.ip2vec
-                    .nearest_port(&self.port_norm.decode(&row[2 * d..3 * d]))
-                    .unwrap_or(0),
-                self.ip2vec
-                    .nearest_port(&self.port_norm.decode(&row[3 * d..4 * d]))
-                    .unwrap_or(0),
-            )
+            (port(&row[2 * d..3 * d]), port(&row[3 * d..4 * d]))
         } else {
             (0, 0)
         };

@@ -15,9 +15,15 @@
 //!   port and falls back to nearest-neighbour search over the public
 //!   dictionary otherwise, restricted to (port, protocol) pairs the
 //!   public corpus exhibits (keeps Appendix-B Test 3 compliance).
+//!
+//! Every decode restriction depends only on the protocol, so the fit
+//! resolves it once: per port-carrying protocol, a flag per categorical
+//! slot and one pre-filtered candidate set ([`fieldcodec::Candidates`]).
+//! A decode is then at most one scan of one set, returning the word the
+//! filtered whole-dictionary search would.
 
 use doppelganger::Segment;
-use fieldcodec::{BitCodec, Ip2Vec, Ip2VecConfig, Word};
+use fieldcodec::{BitCodec, Candidates, Ip2Vec, Ip2VecConfig, Word};
 use nettrace::{FiveTuple, PacketTrace, Protocol};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -25,6 +31,41 @@ use std::collections::{BTreeMap, BTreeSet};
 const TOP_PORTS: usize = 40;
 /// Protocol categorical vocabulary (TCP, UDP, ICMP) + other.
 const PROTO_VOCAB: [u8; 3] = [6, 17, 1];
+/// Embedding widths up to this denormalise their query on the stack.
+const STACK_DIM: usize = 64;
+
+/// Port decoding for one port-carrying protocol, resolved at fit time.
+struct PortDecoder {
+    /// Per categorical slot: the service port is publicly attested with
+    /// this protocol, so the category is accepted as decoded.
+    accept: Vec<bool>,
+    /// The embedding path's candidates: the first non-empty of the
+    /// non-catalogue ports attested with this protocol, all ports attested
+    /// with it, and all ports. A search finds a word exactly when its set
+    /// is non-empty, so decode never needs the later sets once an earlier
+    /// one has a word. Empty only if the dictionary has no ports.
+    candidates: Candidates,
+}
+
+impl PortDecoder {
+    fn fit(ip2vec: &Ip2Vec, pairs: &BTreeSet<(u16, u8)>, service_ports: &[u16], proto: u8) -> Self {
+        let attested = |p: u16| pairs.contains(&(p, proto));
+        let accept = service_ports.iter().map(|&p| attested(p)).collect();
+        let port = |w: &Word| match *w {
+            Word::Port(p) => Some(p),
+            _ => None,
+        };
+        let mut candidates = ip2vec
+            .candidates(|w| port(w).is_some_and(|p| !service_ports.contains(&p) && attested(p)));
+        if candidates.is_empty() {
+            candidates = ip2vec.candidates(|w| port(w).is_some_and(attested));
+        }
+        if candidates.is_empty() {
+            candidates = ip2vec.candidates(Word::is_port);
+        }
+        PortDecoder { accept, candidates }
+    }
+}
 
 /// A fitted five-tuple codec.
 pub struct TupleCodec {
@@ -42,8 +83,10 @@ pub struct TupleCodec {
     /// normalization — decodes to the dictionary's most central port).
     fallback_port: Vec<f32>,
     fallback_proto: Vec<f32>,
-    /// (port, protocol) pairs observed in the public corpus.
-    port_proto_pairs: BTreeSet<(u16, u8)>,
+    tcp_ports: PortDecoder,
+    udp_ports: PortDecoder,
+    /// Every protocol word, for the "other" protocol category.
+    protos: Candidates,
 }
 
 impl TupleCodec {
@@ -132,6 +175,9 @@ impl TupleCodec {
             .iter()
             .map(|s| if n_proto > 0 { s / n_proto as f32 } else { 0.0 })
             .collect();
+        let tcp_ports = PortDecoder::fit(&ip2vec, &port_proto_pairs, &service_ports, 6);
+        let udp_ports = PortDecoder::fit(&ip2vec, &port_proto_pairs, &service_ports, 17);
+        let protos = ip2vec.candidates(Word::is_proto);
         TupleCodec {
             ip2vec,
             ip_bits: BitCodec::ipv4(),
@@ -144,7 +190,9 @@ impl TupleCodec {
             proto_hi,
             fallback_port,
             fallback_proto,
-            port_proto_pairs,
+            tcp_ports,
+            udp_ports,
+            protos,
         }
     }
 
@@ -251,50 +299,41 @@ impl TupleCodec {
             .unwrap_or(0)
     }
 
-    /// Nearest port whose (port, protocol) pair occurs in the public
-    /// corpus; falls back to the unrestricted nearest neighbour.
-    fn nearest_compatible_port(&self, vec: &[f32], proto_num: u8) -> u16 {
-        let restricted = self.ip2vec.nearest(vec, |w| match w {
-            Word::Port(p) => self.port_proto_pairs.contains(&(*p, proto_num)),
-            _ => false,
-        });
-        match restricted {
-            Some(Word::Port(p)) => p,
-            _ => self.ip2vec.nearest_port(vec).unwrap_or(0),
+    /// Denormalises an embedding block and searches `candidates` with it.
+    fn nearest(block: &[f32], lo: &[f32], hi: &[f32], candidates: &Candidates) -> Option<Word> {
+        let mut stack = [0.0f32; STACK_DIM];
+        let mut heap = Vec::new();
+        let q = if block.len() <= STACK_DIM {
+            &mut stack[..block.len()]
+        } else {
+            heap.resize(block.len(), 0.0);
+            &mut heap[..]
+        };
+        for (d, (q, &x)) in q.iter_mut().zip(block).enumerate() {
+            *q = Self::denorm(x, lo[d], hi[d]);
         }
+        candidates.nearest(q)
     }
 
-    fn decode_port(&self, block: &[f32], proto_num: u8) -> u16 {
+    /// Decodes one port block; `proto` must carry ports.
+    fn decode_port(&self, block: &[f32], proto: Protocol) -> u16 {
+        let ports = match proto {
+            Protocol::Udp => &self.udp_ports,
+            _ => &self.tcp_ports,
+        };
         let k = self.service_ports.len() + 1;
         let cat = Self::argmax(&block[..k]);
-        if cat < self.service_ports.len() {
-            let port = self.service_ports[cat];
-            // Only accept the categorical decode when the (port, proto)
-            // pair is publicly attested; otherwise fall through to the
-            // protocol-compatible embedding path (Appendix-B Test 3).
-            if self.port_proto_pairs.contains(&(port, proto_num)) {
-                return port;
-            }
+        // Only accept the categorical decode when the (port, proto) pair
+        // is publicly attested; otherwise fall through to the
+        // protocol-compatible embedding path (Appendix-B Test 3), which
+        // prefers non-catalogue ports: catalogue ports have their own
+        // slots, so the embedding path represents the ephemeral mass.
+        if ports.accept.get(cat) == Some(&true) {
+            return self.service_ports[cat];
         }
-        // "Other" (or incompatible category): nearest-neighbour over the
-        // embedding slice, restricted to non-catalogue, protocol-compatible
-        // ports — catalogue ports have their own slots, so the embedding
-        // path represents the ephemeral mass.
-        let emb: Vec<f32> = block[k..]
-            .iter()
-            .enumerate()
-            .map(|(d, &x)| Self::denorm(x, self.port_lo[d], self.port_hi[d]))
-            .collect();
-        let restricted = self.ip2vec.nearest(&emb, |w| match w {
-            Word::Port(p) => {
-                !self.service_index.contains_key(p)
-                    && self.port_proto_pairs.contains(&(*p, proto_num))
-            }
-            _ => false,
-        });
-        match restricted {
+        match Self::nearest(&block[k..], &self.port_lo, &self.port_hi, &ports.candidates) {
             Some(Word::Port(p)) => p,
-            _ => self.nearest_compatible_port(&emb, proto_num),
+            _ => 0,
         }
     }
 
@@ -304,12 +343,10 @@ impl TupleCodec {
         if cat < PROTO_VOCAB.len() {
             return Protocol::from_number(PROTO_VOCAB[cat]);
         }
-        let emb: Vec<f32> = block[k..]
-            .iter()
-            .enumerate()
-            .map(|(d, &x)| Self::denorm(x, self.proto_lo[d], self.proto_hi[d]))
-            .collect();
-        Protocol::from_number(self.ip2vec.nearest_proto(&emb).unwrap_or(6))
+        match Self::nearest(&block[k..], &self.proto_lo, &self.proto_hi, &self.protos) {
+            Some(Word::Proto(p)) => Protocol::from_number(p),
+            _ => Protocol::Tcp,
+        }
     }
 
     /// Decodes a generated metadata slice back to a five-tuple.
@@ -324,8 +361,8 @@ impl TupleCodec {
         let proto = self.decode_proto(&v[64 + 2 * pb..]);
         let (src_port, dst_port) = if proto.has_ports() {
             (
-                self.decode_port(&v[64..64 + pb], proto.number()),
-                self.decode_port(&v[64 + pb..64 + 2 * pb], proto.number()),
+                self.decode_port(&v[64..64 + pb], proto),
+                self.decode_port(&v[64 + pb..64 + 2 * pb], proto),
             )
         } else {
             (0, 0)
@@ -341,6 +378,150 @@ mod tests {
 
     fn codec() -> TupleCodec {
         TupleCodec::fit_public(&ip2vec_public_corpus(2_000, 3), 8, 11)
+    }
+
+    /// Decoding as it was before the fit resolved the candidate sets: a
+    /// filtered search of the whole dictionary on every call, and a second
+    /// one when the first finds nothing.
+    mod reference {
+        use super::super::*;
+
+        /// The (port, protocol) pairs of the public corpus.
+        pub fn pairs(public: &PacketTrace) -> BTreeSet<(u16, u8)> {
+            let mut pairs = BTreeSet::new();
+            for p in &public.packets {
+                if p.five_tuple.proto.has_ports() {
+                    let pr = p.five_tuple.proto.number();
+                    pairs.insert((p.five_tuple.src_port, pr));
+                    pairs.insert((p.five_tuple.dst_port, pr));
+                }
+            }
+            pairs
+        }
+
+        fn nearest_compatible_port(
+            c: &TupleCodec,
+            pairs: &BTreeSet<(u16, u8)>,
+            vec: &[f32],
+            proto_num: u8,
+        ) -> u16 {
+            let restricted = c.ip2vec.nearest(vec, |w| match w {
+                Word::Port(p) => pairs.contains(&(*p, proto_num)),
+                _ => false,
+            });
+            match restricted {
+                Some(Word::Port(p)) => p,
+                _ => c.ip2vec.nearest_port(vec).unwrap_or(0),
+            }
+        }
+
+        fn decode_port(
+            c: &TupleCodec,
+            pairs: &BTreeSet<(u16, u8)>,
+            block: &[f32],
+            proto_num: u8,
+        ) -> u16 {
+            let k = c.service_ports.len() + 1;
+            let cat = TupleCodec::argmax(&block[..k]);
+            if cat < c.service_ports.len() {
+                let port = c.service_ports[cat];
+                if pairs.contains(&(port, proto_num)) {
+                    return port;
+                }
+            }
+            let emb: Vec<f32> = block[k..]
+                .iter()
+                .enumerate()
+                .map(|(d, &x)| TupleCodec::denorm(x, c.port_lo[d], c.port_hi[d]))
+                .collect();
+            let restricted = c.ip2vec.nearest(&emb, |w| match w {
+                Word::Port(p) => {
+                    !c.service_index.contains_key(p) && pairs.contains(&(*p, proto_num))
+                }
+                _ => false,
+            });
+            match restricted {
+                Some(Word::Port(p)) => p,
+                _ => nearest_compatible_port(c, pairs, &emb, proto_num),
+            }
+        }
+
+        fn decode_proto(c: &TupleCodec, block: &[f32]) -> Protocol {
+            let k = PROTO_VOCAB.len() + 1;
+            let cat = TupleCodec::argmax(&block[..k]);
+            if cat < PROTO_VOCAB.len() {
+                return Protocol::from_number(PROTO_VOCAB[cat]);
+            }
+            let emb: Vec<f32> = block[k..]
+                .iter()
+                .enumerate()
+                .map(|(d, &x)| TupleCodec::denorm(x, c.proto_lo[d], c.proto_hi[d]))
+                .collect();
+            Protocol::from_number(c.ip2vec.nearest_proto(&emb).unwrap_or(6))
+        }
+
+        pub fn decode(c: &TupleCodec, pairs: &BTreeSet<(u16, u8)>, v: &[f32]) -> FiveTuple {
+            let pb = c.port_block();
+            let src_ip = c.ip_bits.decode(&v[0..32]) as u32;
+            let dst_ip = c.ip_bits.decode(&v[32..64]) as u32;
+            let proto = decode_proto(c, &v[64 + 2 * pb..]);
+            let (src_port, dst_port) = if proto.has_ports() {
+                (
+                    decode_port(c, pairs, &v[64..64 + pb], proto.number()),
+                    decode_port(c, pairs, &v[64 + pb..64 + 2 * pb], proto.number()),
+                )
+            } else {
+                (0, 0)
+            };
+            FiveTuple::new(src_ip, dst_ip, src_port, dst_port, proto)
+        }
+    }
+
+    #[test]
+    fn decode_matches_whole_dictionary_search_at_shipped_scale() {
+        use rand::prelude::*;
+        // The codec the CLI fits by default.
+        let cfg = crate::NetShareConfig::default_config();
+        let public = ip2vec_public_corpus(cfg.ip2vec_public_packets, cfg.seed ^ 0xab);
+        let c = TupleCodec::fit_public(&public, cfg.embed_dim, cfg.seed ^ 0xcd);
+        let pairs = reference::pairs(&public);
+        let spec = doppelganger::FeatureSpec::new(c.segments());
+        let (k, pb) = (c.service_ports.len() + 1, c.port_block());
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.5, 1.5];
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut slots = BTreeSet::new();
+        let (mut other, mut unattested, mut other_proto) = (0, 0, 0);
+        for i in 0..10_000 {
+            let mut v: Vec<f32> = (0..c.dim()).map(|_| rng.gen()).collect();
+            spec.harden_row(&mut v);
+            if i % 50 == 0 {
+                // Out-of-range and non-finite embedding coordinates.
+                for start in [64 + k, 64 + pb + k, 64 + 2 * pb + PROTO_VOCAB.len() + 1] {
+                    v[start + i / 50 % c.embed_dim] = specials[i / 50 % specials.len()];
+                }
+            }
+            let want = reference::decode(&c, &pairs, &v);
+            assert_eq!(c.decode(&v), want, "row {i}");
+            if TupleCodec::argmax(&v[64 + 2 * pb..64 + 2 * pb + PROTO_VOCAB.len() + 1]) == 3 {
+                other_proto += 1;
+            }
+            if want.proto.has_ports() {
+                for block in [&v[64..64 + k], &v[64 + pb..64 + pb + k]] {
+                    let slot = TupleCodec::argmax(block);
+                    slots.insert((want.proto.number(), slot));
+                    if slot == k - 1 {
+                        other += 1;
+                    } else if !pairs.contains(&(c.service_ports[slot], want.proto.number())) {
+                        unattested += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(slots.len(), 2 * k, "every slot of TCP and UDP decoded");
+        assert!(
+            other > 0 && unattested > 0 && other_proto > 0,
+            "{other} {unattested} {other_proto}"
+        );
     }
 
     #[test]

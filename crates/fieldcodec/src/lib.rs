@@ -28,5 +28,5 @@ pub mod onehot;
 
 pub use bits::{BitCodec, ByteCodec};
 pub use continuous::ContinuousCodec;
-pub use ip2vec::{Ip2Vec, Ip2VecConfig, Word};
+pub use ip2vec::{Candidates, Ip2Vec, Ip2VecConfig, Word};
 pub use onehot::OneHotCodec;

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, root test suite, bench compile check, static
 # analysis (clippy + netshare-lint), rustdoc at -D warnings, the
-# sanitize-feature and telemetry-off test suites, and an orchestrator
+# sanitize-feature and telemetry-off test suites, an orchestrator
 # fault-injection smoke test through the CLI (which also checks the
-# --metrics-out telemetry snapshot).
+# --metrics-out telemetry snapshot), and a byte-identity check of
+# synth-flows output against a recorded digest.
 #
 #   scripts/ci.sh        # run the full gate
 #   scripts/ci.sh bench  # run benchmarks and emit BENCH_<host>_<date>.json
@@ -434,6 +435,18 @@ for metric in '"gemm.calls"' '"train.d_loss"' '"train.g_loss"' '"orchestrator.re
     || { echo "missing $metric in metrics snapshot" >&2; exit 1; }
 done
 echo "orchestrator smoke: fault retried, output identical, telemetry snapshot complete"
+
+# Byte-identity gate: synth-flows on the committed trace must still write
+# the bytes whose sha256 is recorded in scripts/synth-flows-ugr16.sha256
+# (recorded before tuple decoding became one pre-filtered candidate scan
+# per protocol). A change that means to alter generated output re-records
+# the digest and says why.
+"$cli" synth-flows synthetic_ugr16.csv "$smoke/ugr16.csv" --chunks 4 --steps 30 --n 5000
+want="$(cat scripts/synth-flows-ugr16.sha256)"
+got="$(sha256sum "$smoke/ugr16.csv" | cut -d' ' -f1)"
+[[ "$got" == "$want" ]] \
+  || { echo "synth-flows output digest $got, expected $want" >&2; exit 1; }
+echo "byte identity: synth-flows output matches the recorded digest"
 
 # Serving, scale-out, and serving-chaos smokes ride on the release
 # binaries built above (separate shells, so their EXIT traps don't
